@@ -221,11 +221,14 @@ impl Database {
         self.bump_plan_epoch();
     }
 
-    fn opt_context(&self) -> OptContext {
+    /// The optimizer context for one SELECT: statistics for the tables its
+    /// FROM list names, plus every UDF's metadata. A name missing from the
+    /// catalog is left out, so `extract` reports it as an unknown table.
+    fn opt_context(&self, from: &[csq_sql::TableRef]) -> OptContext {
         let mut ctx = OptContext::new(self.network());
-        for name in self.catalog.table_names() {
-            if let Ok(t) = self.catalog.get(&name) {
-                ctx.add_table(&name, csq_opt::context::stats_from_table(&t));
+        for r in from {
+            if let Ok(t) = self.catalog.get(&r.name) {
+                ctx.add_table(t.name(), csq_opt::context::stats_from_table(&t));
             }
         }
         for m in self.udf_metas.read().iter() {
@@ -244,7 +247,7 @@ impl Database {
     pub fn execute_simulated(&self, sql: &str) -> Result<(QueryResult, SimSummary)> {
         match parse_statement(sql)? {
             Statement::Select(sel) => {
-                let ctx = self.opt_context();
+                let ctx = self.opt_context(&sel.from);
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
                 lower::execute_simulated(self, &graph, &plan)
@@ -262,7 +265,7 @@ impl Database {
     pub fn explain(&self, sql: &str) -> Result<String> {
         match parse_statement(sql)? {
             Statement::Select(sel) => {
-                let ctx = self.opt_context();
+                let ctx = self.opt_context(&sel.from);
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
                 let mut notes = std::collections::HashMap::new();
@@ -346,7 +349,7 @@ impl Database {
     pub fn optimize(&self, sql: &str) -> Result<(csq_opt::QueryGraph, OptimizedPlan)> {
         match parse_statement(sql)? {
             Statement::Select(sel) => {
-                let ctx = self.opt_context();
+                let ctx = self.opt_context(&sel.from);
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
                 Ok((graph, plan))
@@ -369,7 +372,7 @@ impl Database {
     fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
         match stmt {
             Statement::Select(sel) => {
-                let ctx = self.opt_context();
+                let ctx = self.opt_context(&sel.from);
                 let graph = csq_opt::query::extract(&sel, &ctx)?;
                 let plan = csq_opt::optimize(&graph, &ctx)?;
                 lower::execute_threaded(self, &graph, &plan)
@@ -445,7 +448,7 @@ impl Database {
         sel: &csq_sql::SelectStmt,
         epoch: u64,
     ) -> Result<Arc<PlannedQuery>> {
-        let ctx = self.opt_context();
+        let ctx = self.opt_context(&sel.from);
         let graph = csq_opt::query::extract(sel, &ctx)?;
         let plan = csq_opt::optimize(&graph, &ctx)?;
         let planned = Arc::new(PlannedQuery {

@@ -30,7 +30,7 @@ use csq_ship::{
     simulate_client_join, simulate_semijoin, ClientJoinSpec, PartialAggSpec, SemiJoinSpec,
     UdfApplication,
 };
-use csq_storage::FilterSpec;
+use csq_storage::{FilterSpec, ScanSource};
 
 use crate::result::QueryResult;
 use crate::Database;
@@ -415,7 +415,12 @@ fn run_simulated(
                 return Err(CsqError::Plan("scan of non-relation unit".into()));
             };
             let t = db.catalog().get(table)?;
-            Ok((t.schema().qualify(alias), t.snapshot()))
+            let mut scan = t.scan(None);
+            let mut rows = Vec::with_capacity(scan.remaining_rows());
+            while let Some(batch) = scan.next_batch() {
+                rows.extend(batch.into_rows());
+            }
+            Ok((t.schema().qualify(alias), rows))
         }
         PlanNode::Join { left, right } => {
             let (ls, lr) = run_simulated(db, graph, left, summary)?;

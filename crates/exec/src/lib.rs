@@ -32,8 +32,8 @@ pub use aggregate::{aggregate_output_schema, aggregate_state_schema, AggSpec, Ha
 pub use exchange::{Exchange, PartitionBuilder};
 pub use join::{HashJoin, MergeJoin, NestedLoopJoin};
 pub use ops::{
-    collect, compare_values, CancelCheck, ColumnarScan, Distinct, Filter, Limit, MemScan, Operator,
-    Project, RowsOp, Sort,
+    collect, compare_values, CancelCheck, ColumnarScan, Distinct, Filter, Limit, Operator, Project,
+    RowsOp, Sort,
 };
 pub use parallel::{
     BatchStage, ClosureFactory, FilterStageFactory, ParallelOpts, ParallelPipeline,

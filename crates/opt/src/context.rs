@@ -238,27 +238,19 @@ impl OptContext {
     }
 }
 
-/// Compute [`TableStats`] from an actual in-memory table.
+/// Compute [`TableStats`] from an actual in-memory table, using the
+/// storage layer's wire-byte accounting ([`csq_storage::Table::wire_profile`]):
+/// no row is materialized. The sums are integers, exact in `f64` below 2^53,
+/// so these figures equal a row-by-row recount bit for bit.
 pub fn stats_from_table(table: &csq_storage::Table) -> TableStats {
-    let rows = table.snapshot();
-    let n = rows.len().max(1) as f64;
-    let width = table.schema().len();
-    let mut col_bytes = vec![0.0; width];
-    let mut total = 0.0;
-    for r in &rows {
-        for (i, v) in r.values().iter().enumerate() {
-            col_bytes[i] += v.wire_size() as f64;
-        }
-        total += r.wire_size() as f64;
-    }
-    for c in col_bytes.iter_mut() {
-        *c /= n;
-    }
+    let (rows, col_sums) = table.wire_profile();
+    let n = rows.max(1) as f64;
+    let total: u64 = col_sums.iter().sum();
     TableStats {
         schema: table.schema().clone(),
-        rows: rows.len() as f64,
-        row_bytes: total / n,
-        col_bytes,
+        rows: rows as f64,
+        row_bytes: total as f64 / n,
+        col_bytes: col_sums.iter().map(|&b| b as f64 / n).collect(),
         segments: table.zone_profile(),
     }
 }

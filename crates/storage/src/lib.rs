@@ -9,10 +9,11 @@
 //! column data (DESIGN.md §11); [`ScanStats`] reports the
 //! pruned/scanned split for EXPLAIN.
 //!
-//! The legacy row-vector view survives as [`Table::snapshot`], which
-//! reconstructs the inserted rows exactly — it backs the optimizer's
-//! statistics, the simulated backend, and the differential oracle that holds
-//! the columnar scan honest.
+//! Optimizer statistics come from [`Table::wire_profile`]: the per-column
+//! wire-byte sums each segment records when sealed, plus a walk of the
+//! unsealed tail. The row-vector view [`Table::snapshot`] reconstructs the
+//! inserted rows exactly; it is the differential oracle that holds the
+//! columnar scan and the statistics honest.
 //!
 //! Tables are snapshot-scanned: a scan observes the segments and tail
 //! present when it started, never a torn state, which keeps the threaded
@@ -274,32 +275,34 @@ impl Table {
             .collect()
     }
 
-    /// Average wire size of a row, in bytes — the paper's `I` for this table.
-    /// Returns 0.0 for an empty table. Sealed segments answer from their
-    /// byte accounting; only the tail is walked.
-    pub fn avg_row_wire_size(&self) -> f64 {
+    /// Row count and per-column wire bytes (sums of `Value::wire_size`,
+    /// schema order) — the inputs of the optimizer's record size `I` and
+    /// column shares `A`. Sealed segments answer from the byte sums their
+    /// columns recorded when sealed; only the unsealed tail is walked.
+    pub fn wire_profile(&self) -> (usize, Vec<u64>) {
         let inner = self.inner.read();
-        let n = inner.len();
-        if n == 0 {
-            return 0.0;
+        let mut cols = vec![0u64; self.schema.len()];
+        for seg in &inner.sealed {
+            for (sum, col) in cols.iter_mut().zip(seg.columns()) {
+                *sum += col.wire_bytes();
+            }
         }
-        let sealed: u64 = inner.sealed.iter().map(|s| s.wire_bytes()).sum();
-        let tail: u64 = inner.tail.iter().map(|r| r.wire_size() as u64).sum();
-        (sealed + tail) as f64 / n as f64
+        for row in &inner.tail {
+            for (sum, v) in cols.iter_mut().zip(row.values()) {
+                *sum += v.wire_size() as u64;
+            }
+        }
+        (inner.len(), cols)
     }
 
-    /// Fraction of distinct values in the given columns — the paper's `D`
-    /// for a UDF whose argument columns are `cols`. Returns 1.0 when empty.
-    pub fn distinct_fraction(&self, cols: &[usize]) -> f64 {
-        let rows = self.snapshot();
-        if rows.is_empty() {
-            return 1.0;
+    /// Average wire size of a row, in bytes — the paper's `I` for this table.
+    /// Returns 0.0 for an empty table.
+    pub fn avg_row_wire_size(&self) -> f64 {
+        let (rows, cols) = self.wire_profile();
+        if rows == 0 {
+            return 0.0;
         }
-        let mut set = std::collections::HashSet::new();
-        for r in rows.iter() {
-            set.insert(r.project(cols));
-        }
-        set.len() as f64 / rows.len() as f64
+        cols.iter().sum::<u64>() as f64 / rows as f64
     }
 }
 
@@ -488,21 +491,6 @@ mod tests {
             .unwrap();
         // Blob wire size = 5 + len → 100 and 200.
         assert!((t.avg_row_wire_size() - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distinct_fraction_counts_argument_duplicates() {
-        let t = TableBuilder::new("t")
-            .column("arg", DataType::Int)
-            .column("other", DataType::Int)
-            .row(vec![Value::Int(1), Value::Int(10)])
-            .row(vec![Value::Int(1), Value::Int(20)])
-            .row(vec![Value::Int(2), Value::Int(30)])
-            .row(vec![Value::Int(2), Value::Int(40)])
-            .build()
-            .unwrap();
-        assert!((t.distinct_fraction(&[0]) - 0.5).abs() < 1e-9);
-        assert!((t.distinct_fraction(&[0, 1]) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -295,6 +295,11 @@ impl ColumnSeg {
     pub fn null_count(&self) -> usize {
         self.zone.null_count
     }
+
+    /// Sum of `Value::wire_size` over the column, recorded when sealed.
+    pub fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
+    }
 }
 
 /// An immutable columnar slice of a table.
@@ -302,7 +307,6 @@ impl ColumnSeg {
 pub struct Segment {
     rows: usize,
     cols: Vec<ColumnSeg>,
-    wire_bytes: u64,
 }
 
 impl Segment {
@@ -311,11 +315,9 @@ impl Segment {
         let cols: Vec<ColumnSeg> = (0..schema.len())
             .map(|c| ColumnSeg::build(rows, c))
             .collect();
-        let wire_bytes = cols.iter().map(|c| c.wire_bytes).sum();
         Segment {
             rows: rows.len(),
             cols,
-            wire_bytes,
         }
     }
 
@@ -333,12 +335,6 @@ impl Segment {
     /// The sealed columns.
     pub fn columns(&self) -> &[ColumnSeg] {
         &self.cols
-    }
-
-    /// Sum of row wire sizes (feeds `avg_row_wire_size` without
-    /// re-materializing rows).
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
     }
 
     /// Reconstruct row `i` exactly as inserted.

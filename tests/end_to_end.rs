@@ -74,10 +74,30 @@ fn threaded_and_simulated_agree_on_rows() {
         rows.sort_by_key(|r| format!("{r}"));
         rows
     };
+    let names: Vec<String> = simulated
+        .rows
+        .iter()
+        .map(|r| format!("{}", r.value(0)))
+        .collect();
     assert_eq!(norm(threaded.rows), norm(simulated.rows));
     assert!(summary.elapsed_us > 0);
-    assert!(summary.down_bytes > 0);
-    assert!(summary.up_bytes > 0);
+    // Pinned: the simulated backend's scan order, statistics and plan are
+    // fixed by the data, so its rows and link accounting never drift.
+    let expected: Vec<String> = [22, 23, 25, 26, 27, 30, 31, 32, 33, 39]
+        .iter()
+        .map(|i| format!("'company{i}'"))
+        .collect();
+    assert_eq!(names, expected);
+    assert_eq!(
+        (
+            summary.down_bytes,
+            summary.up_bytes,
+            summary.down_messages,
+            summary.up_messages,
+            summary.phases
+        ),
+        (5548, 342, 22, 19, 1)
+    );
 }
 
 #[test]
@@ -174,10 +194,35 @@ fn ddl_dml_roundtrip_via_sql() {
     assert_eq!(r.affected, 3);
     let out = db.execute("SELECT t.a FROM t t WHERE t.a >= 2").unwrap();
     assert_eq!(out.rows.len(), 2);
+    // A self-join names one table under two aliases; it plans and runs.
+    let out = db
+        .execute("SELECT x.a, y.b FROM t x, t y WHERE x.a = y.a")
+        .unwrap();
+    assert_eq!(out.rows.len(), 3);
     // Errors: duplicate table, unknown table, type mismatch.
     assert!(db.execute("CREATE TABLE t (x INT)").is_err());
     assert!(db.execute("INSERT INTO missing VALUES (1)").is_err());
     assert!(db.execute("INSERT INTO t VALUES ('nope', 'y')").is_err());
+    // A SELECT over a missing table fails on every planning entry point
+    // with the optimizer's typed catalog error, naming the first missing
+    // table in FROM order.
+    for (sql, name) in [
+        ("SELECT m.a FROM missing m", "missing"),
+        ("SELECT t.a FROM t t, Nope n", "Nope"),
+    ] {
+        let msg = format!("catalog error: optimizer: unknown table '{name}'");
+        let errs = [
+            db.execute(sql).unwrap_err(),
+            db.explain(sql).unwrap_err(),
+            db.execute_simulated(sql).unwrap_err(),
+            db.optimize(sql).err().unwrap(),
+            db.prepare(sql).err().unwrap(),
+        ];
+        for err in errs {
+            assert_eq!(err.kind(), "catalog", "{sql}");
+            assert_eq!(err.to_string(), msg, "{sql}");
+        }
+    }
 }
 
 #[test]

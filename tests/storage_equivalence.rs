@@ -8,6 +8,10 @@
 //!   row-vector [`Table::snapshot`] returns — including all-NULL columns,
 //!   constant columns, NULL literals, and predicates on unordered (mixed
 //!   lane) columns.
+//! * Optimizer statistics ([`stats_from_table`], built from the segments'
+//!   seal-time byte sums plus the unsealed tail) must equal a row-by-row
+//!   recount over the snapshot bit for bit, so plans cannot depend on how
+//!   a table is split into segments.
 //! * [`HashAggregate`] and [`HashJoin`] under a deliberately tiny
 //!   [`MemoryTracker`] budget (forcing partition spills on nearly every
 //!   batch) must produce the same row multisets as the unbudgeted in-memory
@@ -20,10 +24,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use csq_common::{DataType, Field, Row, Schema, Value};
+use csq_common::{Blob, DataType, Field, Row, Schema, Value};
 use csq_exec::ops::{ColumnarScan, Filter, RowsOp};
 use csq_exec::{collect, AggSpec, HashAggregate, HashJoin, MemoryTracker};
 use csq_expr::{AggFunc, BinaryOp, PhysExpr};
+use csq_opt::context::{stats_from_table, TableStats};
 use csq_storage::{FilterSpec, Table};
 
 fn col(i: usize) -> PhysExpr {
@@ -140,8 +145,85 @@ fn assert_scan_equivalent(rows: &[Row], segment_rows: usize, pred: &PhysExpr) {
     }
 }
 
+fn stats_schema() -> Schema {
+    let mut fields = scan_schema().fields().to_vec();
+    fields.push(Field::new("o", DataType::Blob));
+    Schema::new(fields)
+}
+
+/// [`arb_scan_row`] plus a BLOB column (NULL or 0–40 bytes).
+fn arb_stats_row() -> impl Strategy<Value = Row> {
+    let blob = prop_oneof![
+        (0usize..40, any::<u64>()).prop_map(|(n, seed)| Value::Blob(Blob::synthetic(n, seed))),
+        Just(Value::Null),
+    ];
+    (arb_scan_row(), blob).prop_map(|(r, b)| {
+        let mut values = r.values().to_vec();
+        values.push(b);
+        Row::new(values)
+    })
+}
+
+/// The statistics recounted row by row over the snapshot.
+fn reference_stats(table: &Table) -> TableStats {
+    let rows = table.snapshot();
+    let n = rows.len().max(1) as f64;
+    let mut col_bytes = vec![0.0; table.schema().len()];
+    let mut total = 0.0;
+    for r in &rows {
+        for (i, v) in r.values().iter().enumerate() {
+            col_bytes[i] += v.wire_size() as f64;
+        }
+        total += r.wire_size() as f64;
+    }
+    TableStats {
+        schema: table.schema().clone(),
+        rows: rows.len() as f64,
+        row_bytes: total / n,
+        col_bytes: col_bytes.iter().map(|c| c / n).collect(),
+        segments: table.zone_profile(),
+    }
+}
+
+fn assert_stats_exact(table: &Table) {
+    let got = stats_from_table(table);
+    let want = reference_stats(table);
+    assert_eq!(got.schema, want.schema);
+    assert_eq!(got.rows.to_bits(), want.rows.to_bits(), "rows");
+    assert_eq!(
+        got.row_bytes.to_bits(),
+        want.row_bytes.to_bits(),
+        "row_bytes"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.col_bytes), bits(&want.col_bytes), "col_bytes");
+    assert_eq!(
+        format!("{:?}", got.segments),
+        format!("{:?}", want.segments),
+        "segments"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn table_stats_match_snapshot_recount(
+        batches in prop::collection::vec(prop::collection::vec(arb_stats_row(), 0..60), 0..5),
+        segment_rows in prop_oneof![Just(1usize), Just(7), Just(32)],
+        seal_tail in any::<bool>(),
+    ) {
+        let table = Table::with_segment_rows("t", stats_schema(), segment_rows).unwrap();
+        assert_stats_exact(&table);
+        for batch in batches {
+            table.insert_all(batch).unwrap();
+            assert_stats_exact(&table);
+        }
+        if seal_tail {
+            table.seal_tail();
+            assert_stats_exact(&table);
+        }
+    }
 
     #[test]
     fn pruned_scan_matches_row_oracle(
@@ -218,6 +300,47 @@ proptest! {
 /// Deterministic edge cases the strategies only hit probabilistically.
 mod pinned {
     use super::*;
+
+    #[test]
+    fn table_stats_exact_over_every_lane_with_sealed_segments_and_tail() {
+        let table = Table::with_segment_rows("t", stats_schema(), 4).unwrap();
+        assert_stats_exact(&table); // empty
+        let rows: Vec<Row> = (0..10i64)
+            .map(|i| {
+                Row::new(vec![
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i)
+                    },
+                    // INT widened into the FLOAT column: a mixed `Values` lane.
+                    if i % 2 == 0 {
+                        Value::Int(i)
+                    } else {
+                        Value::Float(i as f64 / 4.0)
+                    },
+                    Value::from(["a", "bb", "ccc"][i as usize % 3]),
+                    if i == 5 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 2 == 0)
+                    },
+                    if i % 4 == 1 {
+                        Value::Null
+                    } else {
+                        Value::Blob(Blob::synthetic(i as usize * 7, i as u64))
+                    },
+                ])
+            })
+            .collect();
+        table.insert_all(rows).unwrap();
+        assert_eq!(table.segment_count(), 2);
+        assert_eq!(table.prune_stats(None).tail_rows, 2);
+        assert_stats_exact(&table);
+        let stats = stats_from_table(&table);
+        assert_eq!(stats.rows, 10.0);
+        assert_eq!(stats.segments.len(), 2);
+    }
 
     #[test]
     fn all_null_column_prunes_comparisons_but_survives_not_null_filters() {
